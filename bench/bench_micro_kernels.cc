@@ -3,7 +3,10 @@
 // partition-phase insertion with and without speculative run selection,
 // the offline sorts on canonical distributions, and the dispatched
 // hot-path kernels (sort/kernels.h) at every level this CPU supports,
-// each against the pre-kernel scalar baseline kept here as legacy_*.
+// each against the pre-kernel scalar baseline kept here as legacy_*; and
+// CRC32 (common/crc32.h), which frames every wire frame and run-file
+// block, against the byte-at-a-time table loop it replaced, reported in
+// MB/s (decimal; the "MB" rate counter) per buffer size.
 //
 // The report context carries kernel_level (process dispatch level) and
 // bench_seed, so JSON output (--benchmark_format=json) stays comparable
@@ -18,6 +21,7 @@
 
 #include "bench/harness.h"
 #include "common/cpu_features.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "sort/impatience_sorter.h"
 #include "sort/kernels.h"
@@ -428,7 +432,59 @@ void BM_GatherByIndex(benchmark::State& state, KernelLevel level) {
                           static_cast<int64_t>(n));
 }
 
+// The byte-at-a-time CRC32 table loop: the baseline the sliced
+// common/crc32 implementation is measured against (same output).
+uint32_t LegacyCrc32(const uint8_t* data, size_t n) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+void BM_Crc32(benchmark::State& state, bool legacy) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(BenchSeed());
+  std::vector<uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.NextUint64());
+  for (auto _ : state) {
+    const uint32_t crc = legacy ? LegacyCrc32(bytes.data(), n)
+                                : Crc32(bytes.data(), n);
+    benchmark::DoNotOptimize(crc);
+  }
+  const double total = static_cast<double>(state.iterations()) *
+                       static_cast<double>(n);
+  state.SetBytesProcessed(static_cast<int64_t>(total));
+  state.counters["MB"] =
+      benchmark::Counter(total / 1e6, benchmark::Counter::kIsRate);
+}
+
 void RegisterKernelBenchmarks() {
+  // CRC32 at a tiny frame, a page, one 512-event kEvents payload
+  // (4 + 512 x 44 bytes) and a large block.
+  for (const size_t n :
+       {size_t{64}, size_t{4096}, size_t{22532}, size_t{1} << 20}) {
+    for (const bool legacy : {true, false}) {
+      benchmark::RegisterBenchmark(
+          (std::string("BM_Crc32/") + (legacy ? "legacy" : "sliced8") +
+           "/bytes:" + std::to_string(n))
+              .c_str(),
+          [legacy](benchmark::State& s) { BM_Crc32(s, legacy); })
+          ->Arg(static_cast<int64_t>(n));
+    }
+  }
+
   std::vector<KernelLevel> levels = {KernelLevel::kScalar};
   const KernelLevel best = DetectKernelLevel();
   if (best >= KernelLevel::kSSE2) levels.push_back(KernelLevel::kSSE2);

@@ -2,6 +2,11 @@
 // discipline shared by the wire protocol and the on-disk run-file format.
 // One implementation so a frame checked on the wire and a block checked on
 // replay disagree about nothing.
+//
+// Computed slicing-by-8: eight 256-entry tables advance the CRC by eight
+// input bytes per step, with a byte-at-a-time tail. The result is the
+// byte-wise table CRC's, bit for bit (tests/common/crc32_test.cc checks
+// it against a byte-wise reference).
 
 #ifndef IMPATIENCE_COMMON_CRC32_H_
 #define IMPATIENCE_COMMON_CRC32_H_

@@ -31,13 +31,20 @@ bool LoopbackChannel::Write(const uint8_t* data, size_t n) {
 int64_t LoopbackChannel::Read(uint8_t* out, size_t n, bool blocking) {
   std::unique_lock<std::mutex> lock(mu_);
   if (blocking) {
-    cv_.wait(lock, [this] { return !inbox_.empty(); });
-  } else if (inbox_.empty()) {
+    cv_.wait(lock, [this] { return inbox_pos_ < inbox_.size(); });
+  } else if (inbox_pos_ == inbox_.size()) {
     return 0;
   }
-  const size_t take = std::min(n, inbox_.size());
-  std::memcpy(out, inbox_.data(), take);
-  inbox_.erase(0, take);
+  const size_t take = std::min(n, inbox_.size() - inbox_pos_);
+  std::memcpy(out, inbox_.data() + inbox_pos_, take);
+  inbox_pos_ += take;
+  // Drop the consumed prefix only once it is at least half the inbox:
+  // erasing it on every read made draining a large backlog quadratic,
+  // slow enough that replies could arrive faster than a reader drained.
+  if (2 * inbox_pos_ >= inbox_.size()) {
+    inbox_.erase(0, inbox_pos_);
+    inbox_pos_ = 0;
+  }
   return static_cast<int64_t>(take);
 }
 
@@ -79,20 +86,26 @@ IngestClient::IngestClient(std::unique_ptr<ByteChannel> channel)
     : channel_(std::move(channel)) {}
 
 bool IngestClient::SendFrame(const Frame& frame) {
-  const std::vector<uint8_t> bytes = EncodeFrame(frame);
-  if (!channel_->Write(bytes.data(), bytes.size())) return false;
+  send_buf_.clear();
+  AppendFrame(frame, &send_buf_);
+  return WriteSendBuffer();
+}
+
+bool IngestClient::WriteSendBuffer() {
+  if (!channel_->Write(send_buf_.data(), send_buf_.size())) return false;
   ++frames_sent_;
-  bytes_sent_ += bytes.size();
+  bytes_sent_ += send_buf_.size();
   return true;
 }
 
 bool IngestClient::SendEvents(uint64_t session_id,
-                              const std::vector<Event>& events) {
-  Frame frame;
-  frame.type = FrameType::kEvents;
-  frame.session_id = session_id;
-  frame.events = events;
-  return SendFrame(frame);
+                              std::span<const Event> events) {
+  Frame header;
+  header.type = FrameType::kEvents;
+  header.session_id = session_id;
+  send_buf_.clear();
+  AppendFrame(header, events, &send_buf_);
+  return WriteSendBuffer();
 }
 
 bool IngestClient::SendPunctuation(uint64_t session_id, Timestamp t) {

@@ -16,6 +16,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,7 @@ class LoopbackChannel : public ByteChannel {
   std::mutex mu_;
   std::condition_variable cv_;
   std::string inbox_;
+  size_t inbox_pos_ = 0;  // Consumed prefix of inbox_.
 };
 
 // ByteChannel over any non-blocking Transport (transport.h). Write
@@ -90,8 +92,10 @@ class IngestClient {
  public:
   explicit IngestClient(std::unique_ptr<ByteChannel> channel);
 
-  // Data path. Returns false when the channel is dead.
-  bool SendEvents(uint64_t session_id, const std::vector<Event>& events);
+  // Data path. Returns false when the channel is dead. Events are
+  // encoded straight from the caller's storage into a buffer the client
+  // reuses across frames.
+  bool SendEvents(uint64_t session_id, std::span<const Event> events);
   bool SendPunctuation(uint64_t session_id, Timestamp t);
 
   // Sends kFlushSession and blocks until the matching kFlushAck: on
@@ -161,6 +165,8 @@ class IngestClient {
 
  private:
   bool SendFrame(const Frame& frame);
+  // Writes send_buf_ to the channel and counts it as one frame.
+  bool WriteSendBuffer();
   // Reads until a frame of `type` arrives (stashing rejects); false on
   // channel death or decode error.
   bool WaitFor(FrameType type, Frame* out);
@@ -168,6 +174,7 @@ class IngestClient {
   bool Pump(bool blocking);
 
   std::unique_ptr<ByteChannel> channel_;
+  std::vector<uint8_t> send_buf_;  // One encoded frame; reused.
   FrameDecoder decoder_;
   std::deque<Frame> pending_;
   uint64_t frames_sent_ = 0;

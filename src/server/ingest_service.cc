@@ -275,15 +275,16 @@ void Connection::Dispatch(Frame& frame) {
 void Connection::Send(const Frame& frame) { service_->SendOn(send_, frame); }
 
 bool Connection::TrySend(const Frame& frame) {
-  const std::vector<uint8_t> bytes = EncodeFrame(frame);
-  std::string wire(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  std::string wire;
+  AppendFrame(frame, &wire);
+  const size_t n = wire.size();
   if (try_send_) {
     if (!try_send_(std::move(wire))) return false;
   } else {
     send_(std::move(wire));
   }
   service_->frames_out_.fetch_add(1, std::memory_order_relaxed);
-  service_->bytes_out_.fetch_add(bytes.size(), std::memory_order_relaxed);
+  service_->bytes_out_.fetch_add(n, std::memory_order_relaxed);
   return true;
 }
 
@@ -319,11 +320,11 @@ void IngestService::Shutdown() { manager_.Shutdown(); }
 
 void IngestService::SendOn(const Connection::SendFn& send,
                            const Frame& frame) {
-  const std::vector<uint8_t> bytes = EncodeFrame(frame);
+  std::string wire;
+  AppendFrame(frame, &wire);
   frames_out_.fetch_add(1, std::memory_order_relaxed);
-  bytes_out_.fetch_add(bytes.size(), std::memory_order_relaxed);
-  send(std::string(reinterpret_cast<const char*>(bytes.data()),
-                   bytes.size()));
+  bytes_out_.fetch_add(wire.size(), std::memory_order_relaxed);
+  send(std::move(wire));
 }
 
 void IngestService::OnSessionFlushed(uint64_t session_id) {

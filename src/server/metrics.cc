@@ -288,6 +288,10 @@ std::string RenderMetricsText(const ServerMetrics& m) {
              [](const ShardMetrics& s) { return s.queue_depth; });
   TextFamily(&out, m, "impatience_shard_queue_capacity",
              [](const ShardMetrics& s) { return s.queue_capacity; });
+  TextFamily(&out, m, "impatience_shard_queue_bytes",
+             [](const ShardMetrics& s) { return s.queue_bytes; });
+  TextFamily(&out, m, "impatience_shard_queue_bytes_capacity",
+             [](const ShardMetrics& s) { return s.queue_bytes_capacity; });
   TextFamily(&out, m, "impatience_shard_frames_in",
              [](const ShardMetrics& s) { return s.frames_in; });
   TextFamily(&out, m, "impatience_shard_events_in",
@@ -453,6 +457,8 @@ std::string RenderMetricsJson(const ServerMetrics& m) {
     Appendf(&out, "\"shard\":%zu,", s.shard);
     Appendf(&out, "\"queue_depth\":%zu,", s.queue_depth);
     Appendf(&out, "\"queue_capacity\":%zu,", s.queue_capacity);
+    Appendf(&out, "\"queue_bytes\":%zu,", s.queue_bytes);
+    Appendf(&out, "\"queue_bytes_capacity\":%zu,", s.queue_bytes_capacity);
     Appendf(&out, "\"frames_in\":%" PRIu64 ",", s.frames_in);
     Appendf(&out, "\"events_in\":%" PRIu64 ",", s.events_in);
     Appendf(&out, "\"punctuations_in\":%" PRIu64 ",", s.punctuations_in);
@@ -642,6 +648,14 @@ std::string RenderMetricsPrometheus(const ServerMetrics& m) {
   PromShardFamily(&out, m, "impatience_shard_queue_capacity", "gauge",
                   "Shard ingress queue capacity in frames.",
                   [](const ShardMetrics& s) { return s.queue_capacity; });
+  PromShardFamily(&out, m, "impatience_shard_queue_bytes", "gauge",
+                  "Bytes of decoded events in the shard ingress queue.",
+                  [](const ShardMetrics& s) { return s.queue_bytes; });
+  PromShardFamily(&out, m, "impatience_shard_queue_bytes_capacity", "gauge",
+                  "Shard ingress queue capacity in bytes of decoded events.",
+                  [](const ShardMetrics& s) {
+                    return s.queue_bytes_capacity;
+                  });
   PromShardFamily(&out, m, "impatience_shard_frames_in", "counter",
                   "Data frames accepted into the shard queue.",
                   [](const ShardMetrics& s) { return s.frames_in; });

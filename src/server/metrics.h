@@ -37,6 +37,10 @@ struct ShardMetrics {
   size_t shard = 0;
   size_t queue_depth = 0;        // Frames waiting in the ingress queue.
   size_t queue_capacity = 0;
+  // Bytes of decoded events in the queued frames, and the byte bound at
+  // which the queue counts as full (see kShardQueueBytes).
+  size_t queue_bytes = 0;
+  size_t queue_bytes_capacity = 0;
   uint64_t frames_in = 0;        // Data frames accepted into the queue.
   uint64_t events_in = 0;        // Events inside those frames.
   uint64_t punctuations_in = 0;  // Client punctuation frames.

@@ -120,6 +120,7 @@ void ResultExporter::FanOut(size_t shard, uint32_t stream,
       ++i;
       continue;
     }
+    // Encoded straight from `records` into the bytes the sink takes.
     Frame chunk;
     chunk.type = FrameType::kResultChunk;
     chunk.session_id = sub.session_id;
@@ -128,10 +129,9 @@ void ResultExporter::FanOut(size_t shard, uint32_t stream,
     chunk.result_watermark = watermark;
     chunk.result_shard = static_cast<uint32_t>(shard);
     chunk.result_stream = stream;
-    chunk.events = records;
-    const std::vector<uint8_t> bytes = EncodeFrame(chunk);
-    if (sub.sink(std::string(reinterpret_cast<const char*>(bytes.data()),
-                             bytes.size()))) {
+    std::string bytes;
+    AppendFrame(chunk, records, &bytes);
+    if (sub.sink(std::move(bytes))) {
       ++sub.seq;
       sub.consecutive_drops = 0;
       ++counters_.chunks_sent;

@@ -61,12 +61,19 @@ uint64_t MixSession(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// A queued frame weighs the bytes its decoded events occupy.
+struct FrameEventBytes {
+  size_t operator()(const Frame& frame) const {
+    return frame.events.size() * sizeof(Event);
+  }
+};
+
 }  // namespace
 
 struct SessionShardManager::Shard {
   Shard(size_t index, const ShardManagerOptions& options)
       : index(index),
-        queue(options.queue_capacity),
+        queue(options.queue_capacity, kShardQueueBytes),
         // The partition absorbs ingress punctuations, so the ingress never
         // needs to punctuate on its own; SIZE_MAX disables its cadence.
         pipeline({.punctuation_period = static_cast<size_t>(-1),
@@ -74,7 +81,7 @@ struct SessionShardManager::Shard {
                  &memory) {}
 
   const size_t index;
-  BoundedMpscQueue<Frame> queue;
+  BoundedMpscQueue<Frame, FrameEventBytes> queue;
 
   // Byte-accurate buffering footprint of everything behind this shard's
   // pipeline; the spill policy reads it against the shard's budget slice.
@@ -280,13 +287,13 @@ SubmitResult SessionShardManager::Submit(Frame frame) {
       }
       break;
     case BackpressurePolicy::kShedOldest: {
-      std::optional<Frame> shed;
+      std::vector<Frame> shed;
       result.push = s->queue.PushShedOldest(std::move(frame), &shed);
-      if (shed.has_value()) {
-        s->shed_frames.fetch_add(1, std::memory_order_relaxed);
-        s->shed_events.fetch_add(shed->events.size(),
+      for (const Frame& f : shed) result.affected_events += f.events.size();
+      if (!shed.empty()) {
+        s->shed_frames.fetch_add(shed.size(), std::memory_order_relaxed);
+        s->shed_events.fetch_add(result.affected_events,
                                  std::memory_order_relaxed);
-        result.affected_events = shed->events.size();
       }
       break;
     }
@@ -445,6 +452,8 @@ std::vector<ShardMetrics> SessionShardManager::SnapshotShards(
     m.shard = s->index;
     m.queue_depth = s->queue.size();
     m.queue_capacity = s->queue.capacity();
+    m.queue_bytes = s->queue.weight();
+    m.queue_bytes_capacity = s->queue.weight_capacity();
     m.frames_in = s->frames_in.load(std::memory_order_relaxed);
     m.events_in = s->events_in.load(std::memory_order_relaxed);
     m.punctuations_in = s->punctuations_in.load(std::memory_order_relaxed);

@@ -12,8 +12,11 @@
 // parallel punctuation merges, band-parallel execution — runs on the
 // existing process-wide ThreadPool, shared by all shards.
 //
-// Backpressure: the queue holds whole decoded frames, and the policy
-// decides what happens when a shard falls behind:
+// Backpressure: the queue holds whole decoded frames, bounded both by
+// frame count (ShardManagerOptions::queue_capacity) and by the bytes of
+// decoded events queued (kShardQueueBytes) — a frame may carry anything
+// from one event to ~381k, so a frame count alone bounds no memory. The
+// policy decides what happens when a shard falls behind:
 //   kBlock       — the connection thread waits (lossless; TCP pushback
 //                  propagates to the client);
 //   kRejectFrame — the frame is refused and the client told (kReject);
@@ -59,9 +62,18 @@ const char* BackpressurePolicyName(BackpressurePolicy policy);
 bool ParseBackpressurePolicy(const std::string& name,
                              BackpressurePolicy* policy);
 
+// Byte bound of each shard ingress queue: the queue counts as full once
+// the frames in it hold this many bytes of decoded events (events x
+// sizeof(Event)), whatever the frame cap. An empty queue still admits one
+// frame of any size. 256 KiB is about ten 512-event frames — enough to
+// keep a shard busy between ingest bursts without turning ingest that
+// outruns the shards into resident memory.
+inline constexpr size_t kShardQueueBytes = 256u << 10;
+
 struct ShardManagerOptions {
   size_t num_shards = 1;
-  // Frames (not events) per shard ingress queue.
+  // Frames (not events) per shard ingress queue; kShardQueueBytes bounds
+  // the same queue in bytes.
   size_t queue_capacity = 256;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   // Per-shard pipeline configuration. Empty reorder_latencies defaults to

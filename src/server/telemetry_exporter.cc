@@ -109,9 +109,9 @@ void TelemetryExporter::FanOutLocked(uint8_t stream,
     chunk.telemetry_seq = sub.seq + 1;
     chunk.telemetry_dropped = sub.dropped;
     chunk.text = body;
-    const std::vector<uint8_t> bytes = EncodeFrame(chunk);
-    if (sub.sink(std::string(reinterpret_cast<const char*>(bytes.data()),
-                             bytes.size()))) {
+    std::string bytes;
+    AppendFrame(chunk, &bytes);
+    if (sub.sink(std::move(bytes))) {
       ++sub.seq;
       sub.consecutive_drops = 0;
       ++counters_.chunks_sent;

@@ -1,72 +1,66 @@
 #include "server/wire_format.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
 #include "common/crc32.h"
+#include "common/little_endian.h"
 
 namespace impatience {
 namespace server {
 
 namespace {
 
-// Little-endian primitive append/read. Byte-by-byte shifts, not memcpy of
-// host representations, so the encoding is identical on any endianness.
-void PutU8(uint8_t v, std::vector<uint8_t>* out) { out->push_back(v); }
-
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutI32(int32_t v, std::vector<uint8_t>* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-}
-
-void PutI64(int64_t v, std::vector<uint8_t>* out) {
-  PutU64(static_cast<uint64_t>(v), out);
-}
-
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (static_cast<uint16_t>(p[1]) << 8));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
+// Little-endian field access; the encoding is identical on any host.
+uint16_t GetU16(const uint8_t* p) { return LoadLe<uint16_t>(p); }
+uint32_t GetU32(const uint8_t* p) { return LoadLe<uint32_t>(p); }
+uint64_t GetU64(const uint8_t* p) { return LoadLe<uint64_t>(p); }
 int32_t GetI32(const uint8_t* p) { return static_cast<int32_t>(GetU32(p)); }
 int64_t GetI64(const uint8_t* p) { return static_cast<int64_t>(GetU64(p)); }
+
+void PutU32(uint8_t* p, uint32_t v) { StoreLe<uint32_t>(p, v); }
+void PutU64(uint8_t* p, uint64_t v) { StoreLe<uint64_t>(p, v); }
+void PutI32(uint8_t* p, int32_t v) { PutU32(p, static_cast<uint32_t>(v)); }
+void PutI64(uint8_t* p, int64_t v) { PutU64(p, static_cast<uint64_t>(v)); }
+
+// Grows `out` by `n` bytes and returns where they start. `out` is a
+// std::vector<uint8_t> or a std::string; either may reallocate, so a
+// pointer returned earlier is stale after the next call.
+template <typename Buf>
+uint8_t* Grow(Buf* out, size_t n) {
+  const size_t at = out->size();
+  out->resize(at + n);
+  return reinterpret_cast<uint8_t*>(out->data()) + at;
+}
+
+template <typename Buf>
+void AppendBytes(const std::string& bytes, Buf* out) {
+  if (bytes.empty()) return;
+  std::memcpy(Grow(out, bytes.size()), bytes.data(), bytes.size());
+}
 
 // One packed wire event (kWireEventBytes); shared by kEvents and
 // kResultChunk so a result record round-trips bit-identically to the
 // ingress encoding.
-void PutEvent(const Event& e, std::vector<uint8_t>* out) {
-  PutI64(e.sync_time, out);
-  PutI64(e.other_time, out);
-  PutI32(e.key, out);
-  PutU64(e.hash, out);
-  for (int c = 0; c < 4; ++c) PutI32(e.payload[c], out);
+void PutEvent(const Event& e, uint8_t* q) {
+  PutI64(q, e.sync_time);
+  PutI64(q + 8, e.other_time);
+  PutI32(q + 16, e.key);
+  PutU64(q + 20, e.hash);
+  for (int c = 0; c < 4; ++c) PutI32(q + 28 + 4 * c, e.payload[c]);
+}
+
+// The u32 record count and the packed records, in one resize.
+template <typename Buf>
+void AppendEvents(std::span<const Event> events, Buf* out) {
+  uint8_t* q = Grow(out, 4 + events.size() * kWireEventBytes);
+  PutU32(q, static_cast<uint32_t>(events.size()));
+  q += 4;
+  for (const Event& e : events) {
+    PutEvent(e, q);
+    q += kWireEventBytes;
+  }
 }
 
 void GetEvent(const uint8_t* q, Event* e) {
@@ -100,42 +94,45 @@ uint8_t AuxOf(const Frame& frame) {
   }
 }
 
-void AppendPayload(const Frame& frame, std::vector<uint8_t>* out) {
+// Appends the payload of `frame`, with `events` standing in for
+// frame.events.
+template <typename Buf>
+void AppendPayload(const Frame& frame, std::span<const Event> events,
+                   Buf* out) {
   switch (frame.type) {
-    case FrameType::kEvents: {
-      PutU32(static_cast<uint32_t>(frame.events.size()), out);
-      for (const Event& e : frame.events) PutEvent(e, out);
+    case FrameType::kEvents:
+      AppendEvents(events, out);
       return;
-    }
     case FrameType::kPunctuation:
-      PutI64(frame.punctuation, out);
+      PutI64(Grow(out, 8), frame.punctuation);
       return;
     case FrameType::kMetricsResponse:
     case FrameType::kTraceResponse:
-      out->insert(out->end(), frame.text.begin(), frame.text.end());
+      AppendBytes(frame.text, out);
       return;
     case FrameType::kReject:
-      PutU64(frame.reject_count, out);
+      PutU64(Grow(out, 8), frame.reject_count);
       return;
     case FrameType::kSubscribeAck:
-      PutU64(frame.subscription_id, out);
-      return;
-    case FrameType::kTelemetryChunk:
-      PutU64(frame.telemetry_seq, out);
-      PutU64(frame.telemetry_dropped, out);
-      out->insert(out->end(), frame.text.begin(), frame.text.end());
-      return;
     case FrameType::kResultSubscribeAck:
-      PutU64(frame.subscription_id, out);
+      PutU64(Grow(out, 8), frame.subscription_id);
       return;
+    case FrameType::kTelemetryChunk: {
+      uint8_t* p = Grow(out, 16);
+      PutU64(p, frame.telemetry_seq);
+      PutU64(p + 8, frame.telemetry_dropped);
+      AppendBytes(frame.text, out);
+      return;
+    }
     case FrameType::kResultChunk: {
-      PutU64(frame.result_seq, out);
-      PutU64(frame.result_dropped, out);
-      PutI64(frame.result_watermark, out);
-      PutU32(frame.result_shard, out);
-      PutU32(frame.result_stream, out);
-      PutU32(static_cast<uint32_t>(frame.events.size()), out);
-      for (const Event& e : frame.events) PutEvent(e, out);
+      // The record count closes the fixed prefix; AppendEvents writes it.
+      uint8_t* p = Grow(out, kResultChunkHeaderBytes - 4);
+      PutU64(p, frame.result_seq);
+      PutU64(p + 8, frame.result_dropped);
+      PutI64(p + 16, frame.result_watermark);
+      PutU32(p + 24, frame.result_shard);
+      PutU32(p + 28, frame.result_stream);
+      AppendEvents(events, out);
       return;
     }
     case FrameType::kFlushSession:
@@ -151,6 +148,36 @@ void AppendPayload(const Frame& frame, std::vector<uint8_t>* out) {
       break;  // Internal only — falls through to the CHECK below.
   }
   IMPATIENCE_CHECK_MSG(false, "unencodable frame type");
+}
+
+// One pass: the header goes straight into `out`, the payload straight
+// after it, then payload_len and the CRC are patched into the header.
+template <typename Buf>
+void AppendFrameTo(const Frame& frame, std::span<const Event> events,
+                   Buf* out) {
+  const size_t start = out->size();
+  // Room for the whole frame up front (an upper bound on every payload
+  // type), growing geometrically so a buffer that accumulates many frames
+  // still reallocates O(log n) times.
+  const size_t need = start + kFrameHeaderBytes + kResultChunkHeaderBytes +
+                      events.size() * kWireEventBytes + frame.text.size();
+  if (need > out->capacity()) {
+    out->reserve(std::max(need, 2 * out->capacity()));
+  }
+  uint8_t* h = Grow(out, kFrameHeaderBytes);
+  PutU32(h, kWireMagic);
+  h[4] = static_cast<uint8_t>(frame.type);
+  h[5] = AuxOf(frame);
+  h[6] = 0;  // reserved
+  h[7] = 0;
+  PutU64(h + 8, frame.session_id);
+  AppendPayload(frame, events, out);
+  const size_t payload_len = out->size() - start - kFrameHeaderBytes;
+  IMPATIENCE_CHECK_MSG(payload_len <= kMaxPayloadBytes,
+                       "frame payload exceeds kMaxPayloadBytes");
+  h = reinterpret_cast<uint8_t*>(out->data()) + start;
+  PutU32(h + 16, static_cast<uint32_t>(payload_len));
+  PutU32(h + 20, Crc32(h + kFrameHeaderBytes, payload_len));
 }
 
 // Decodes a payload already verified against its CRC. Returns kOk or
@@ -278,26 +305,22 @@ DecodeStatus ParsePayload(FrameType type, uint8_t aux, const uint8_t* p,
 
 }  // namespace
 
-uint32_t Crc32(const uint8_t* data, size_t n) {
-  // One table, one polynomial: the shared common/crc32 implementation also
-  // frames the on-disk run files (storage tier).
-  return impatience::Crc32(data, n);
+void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
+  AppendFrameTo(frame, frame.events, out);
 }
 
-void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  AppendPayload(frame, &payload);
-  IMPATIENCE_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
-                       "frame payload exceeds kMaxPayloadBytes");
-  out->reserve(out->size() + kFrameHeaderBytes + payload.size());
-  PutU32(kWireMagic, out);
-  PutU8(static_cast<uint8_t>(frame.type), out);
-  PutU8(AuxOf(frame), out);
-  PutU16(0, out);  // reserved
-  PutU64(frame.session_id, out);
-  PutU32(static_cast<uint32_t>(payload.size()), out);
-  PutU32(Crc32(payload.data(), payload.size()), out);
-  out->insert(out->end(), payload.begin(), payload.end());
+void AppendFrame(const Frame& frame, std::string* out) {
+  AppendFrameTo(frame, frame.events, out);
+}
+
+void AppendFrame(const Frame& frame, std::span<const Event> events,
+                 std::vector<uint8_t>* out) {
+  AppendFrameTo(frame, events, out);
+}
+
+void AppendFrame(const Frame& frame, std::span<const Event> events,
+                 std::string* out) {
+  AppendFrameTo(frame, events, out);
 }
 
 void FrameDecoder::Feed(const uint8_t* data, size_t n) {

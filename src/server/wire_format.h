@@ -12,10 +12,10 @@
 //   20      4     payload_crc  CRC32 (IEEE) of the payload bytes
 //   24      ...   payload
 //
-// All multi-byte fields are little-endian, encoded and decoded byte by
-// byte — a frame produced on any host round-trips on any other. The CRC
-// covers the payload only; header corruption is caught by the magic check
-// and the length bound. Payloads:
+// All multi-byte fields are little-endian on every host (see
+// common/little_endian.h) — a frame produced on any host round-trips on
+// any other. The CRC covers the payload only; header corruption is caught
+// by the magic check and the length bound. Payloads:
 //
 //   kEvents          u32 count, then per event: i64 sync_time,
 //                    i64 other_time, i32 key, u64 hash, 4 x i32 payload
@@ -78,6 +78,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -188,11 +189,21 @@ struct Frame {
   uint64_t enqueue_ns = 0;
 };
 
-// CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `n` bytes.
-uint32_t Crc32(const uint8_t* data, size_t n);
-
-// Serializes `frame` and appends the bytes to `out`.
+// Serializes `frame` and appends the bytes to `out` in one pass: the
+// header and payload are written in place and the length and CRC
+// (common/crc32.h) patched in afterwards — no intermediate payload buffer.
+// The std::string form encodes straight into the bytes a reply or
+// subscriber sink takes.
 void AppendFrame(const Frame& frame, std::vector<uint8_t>* out);
+void AppendFrame(const Frame& frame, std::string* out);
+
+// As above, but `events` are encoded as the frame's records (kEvents,
+// kResultChunk) in place of frame.events, so a caller holding the events
+// elsewhere need not copy them into the frame first.
+void AppendFrame(const Frame& frame, std::span<const Event> events,
+                 std::vector<uint8_t>* out);
+void AppendFrame(const Frame& frame, std::span<const Event> events,
+                 std::string* out);
 
 inline std::vector<uint8_t> EncodeFrame(const Frame& frame) {
   std::vector<uint8_t> out;

@@ -10,31 +10,12 @@
 #include <algorithm>
 
 #include "common/crc32.h"
+#include "common/little_endian.h"
 
 namespace impatience {
 namespace storage {
 
 namespace {
-
-void PutU32(uint32_t v, uint8_t* p) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-void PutU64(uint64_t v, uint8_t* p) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 void SetError(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what + ": " + strerror(errno);
@@ -113,11 +94,11 @@ std::unique_ptr<RunFileWriter> RunFileWriter::Create(const std::string& path,
     return nullptr;
   }
   uint8_t header[kRunFileHeaderBytes] = {0};
-  PutU32(kRunFileMagic, header);
-  PutU32(kRunFormatVersion, header + 4);
-  PutU32(record_size, header + 8);
-  PutU64(run_id, header + 16);
-  PutU32(Crc32(header, 24), header + 24);
+  StoreLe<uint32_t>(header, kRunFileMagic);
+  StoreLe<uint32_t>(header + 4, kRunFormatVersion);
+  StoreLe<uint32_t>(header + 8, record_size);
+  StoreLe<uint64_t>(header + 16, run_id);
+  StoreLe<uint32_t>(header + 24, Crc32(header, 24));
   if (!FaultedWrite(fd, header, sizeof(header), fault)) {
     SetError(error, "write header " + path);
     ::close(fd);
@@ -138,10 +119,10 @@ bool RunFileWriter::AppendBlock(const uint8_t* payload, uint32_t record_count,
   const size_t payload_len =
       static_cast<size_t>(record_count) * record_size_;
   frame_.resize(kRunBlockHeaderBytes + payload_len);
-  PutU32(kRunBlockMagic, frame_.data());
-  PutU32(record_count, frame_.data() + 4);
-  PutU32(Crc32(payload, payload_len), frame_.data() + 8);
-  PutU32(0, frame_.data() + 12);  // reserved
+  StoreLe<uint32_t>(frame_.data(), kRunBlockMagic);
+  StoreLe<uint32_t>(frame_.data() + 4, record_count);
+  StoreLe<uint32_t>(frame_.data() + 8, Crc32(payload, payload_len));
+  StoreLe<uint32_t>(frame_.data() + 12, 0);  // reserved
   memcpy(frame_.data() + kRunBlockHeaderBytes, payload, payload_len);
   // One write per block: a kill mid-write tears at most this block, never
   // an earlier one.
@@ -172,9 +153,9 @@ BlockReadStatus ReadBlockAt(int fd, uint64_t offset, uint32_t record_size,
   if (!ReadExact(fd, offset, header, sizeof(header))) {
     return BlockReadStatus::kTorn;
   }
-  if (GetU32(header) != kRunBlockMagic) return BlockReadStatus::kTorn;
-  const uint32_t count = GetU32(header + 4);
-  const uint32_t expect_crc = GetU32(header + 8);
+  if (LoadLe<uint32_t>(header) != kRunBlockMagic) return BlockReadStatus::kTorn;
+  const uint32_t count = LoadLe<uint32_t>(header + 4);
+  const uint32_t expect_crc = LoadLe<uint32_t>(header + 8);
   if (count == 0) return BlockReadStatus::kTorn;
   const uint64_t payload_len = static_cast<uint64_t>(count) * record_size;
   if (payload_len > kMaxBlockPayloadBytes) return BlockReadStatus::kTorn;
@@ -205,21 +186,21 @@ std::unique_ptr<RunFileReader> RunFileReader::Open(const std::string& path,
   }
   uint8_t header[kRunFileHeaderBytes];
   if (!ReadExact(fd, 0, header, sizeof(header)) ||
-      GetU32(header) != kRunFileMagic ||
-      GetU32(header + 4) != kRunFormatVersion ||
-      GetU32(header + 24) != Crc32(header, 24)) {
+      LoadLe<uint32_t>(header) != kRunFileMagic ||
+      LoadLe<uint32_t>(header + 4) != kRunFormatVersion ||
+      LoadLe<uint32_t>(header + 24) != Crc32(header, 24)) {
     if (error != nullptr) *error = "bad run file header: " + path;
     ::close(fd);
     return nullptr;
   }
-  const uint32_t record_size = GetU32(header + 8);
+  const uint32_t record_size = LoadLe<uint32_t>(header + 8);
   if (record_size == 0) {
     if (error != nullptr) *error = "zero record size: " + path;
     ::close(fd);
     return nullptr;
   }
   return std::unique_ptr<RunFileReader>(
-      new RunFileReader(fd, record_size, GetU64(header + 16)));
+      new RunFileReader(fd, record_size, LoadLe<uint64_t>(header + 16)));
 }
 
 RunFileReader::~RunFileReader() {

@@ -13,6 +13,7 @@
 #include <map>
 
 #include "common/crc32.h"
+#include "common/little_endian.h"
 
 namespace impatience {
 namespace storage {
@@ -27,26 +28,6 @@ enum ManifestType : uint8_t {
   kBeginHidden = 5,  // Compaction staging run; dead until swapped in.
   kCompactSwap = 6,  // arg = old run id: promote run_id, delete arg.
 };
-
-void PutU32(uint32_t v, uint8_t* p) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-void PutU64(uint64_t v, uint8_t* p) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 void SetError(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what + ": " + strerror(errno);
@@ -146,11 +127,11 @@ std::string RunStore::RunPath(uint64_t run_id) const {
 bool RunStore::AppendManifest(uint8_t type, uint64_t run_id, uint64_t arg,
                               bool sync, std::string* error) {
   uint8_t rec[kManifestRecordBytes] = {0};
-  PutU32(kManifestMagic, rec);
+  StoreLe<uint32_t>(rec, kManifestMagic);
   rec[4] = type;
-  PutU64(run_id, rec + 8);
-  PutU64(arg, rec + 16);
-  PutU32(Crc32(rec, 24), rec + 24);
+  StoreLe<uint64_t>(rec + 8, run_id);
+  StoreLe<uint64_t>(rec + 16, arg);
+  StoreLe<uint32_t>(rec + 24, Crc32(rec, 24));
   if (!FaultedWrite(manifest_fd_, rec, sizeof(rec), options_.write_fault)) {
     SetError(error, "append manifest");
     return false;
@@ -267,13 +248,13 @@ bool RunStore::Recover(std::vector<RecoveredRun>* runs, RecoveryStats* stats,
   size_t intact = 0;
   while (intact + kManifestRecordBytes <= bytes.size()) {
     const uint8_t* rec = bytes.data() + intact;
-    if (GetU32(rec) != kManifestMagic ||
-        GetU32(rec + 24) != Crc32(rec, 24)) {
+    if (LoadLe<uint32_t>(rec) != kManifestMagic ||
+        LoadLe<uint32_t>(rec + 24) != Crc32(rec, 24)) {
       break;  // Torn tail starts here.
     }
     const uint8_t type = rec[4];
-    const uint64_t id = GetU64(rec + 8);
-    const uint64_t arg = GetU64(rec + 16);
+    const uint64_t id = LoadLe<uint64_t>(rec + 8);
+    const uint64_t arg = LoadLe<uint64_t>(rec + 16);
     max_id = std::max(max_id, id);
     switch (type) {
       case kBegin:

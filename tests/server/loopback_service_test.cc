@@ -283,6 +283,79 @@ TEST(LoopbackServiceTest, ShedPolicyEvictsOldestFrame) {
   }
 }
 
+TEST(LoopbackServiceTest, QueueBytesBoundRejectsBeforeFrameCap) {
+  ServiceOptions options;
+  options.shards.num_shards = 1;
+  options.shards.queue_capacity = 256;  // Far above what the bytes allow.
+  options.shards.backpressure = BackpressurePolicy::kRejectFrame;
+  options.shards.framework = TestFramework();
+  options.shards.manual_drain = true;
+  IngestService service(options);
+  IngestClient client(std::make_unique<LoopbackChannel>(&service));
+
+  // Frames are admitted while the queued bytes are under the bound, so
+  // the last admitted frame may overshoot it by less than one frame.
+  const std::vector<Event> batch = TestEvents(512);
+  const size_t frame_bytes = batch.size() * sizeof(Event);
+  const size_t admitted = (kShardQueueBytes + frame_bytes - 1) / frame_bytes;
+  for (size_t i = 0; i <= admitted; ++i) {
+    ASSERT_TRUE(client.SendEvents(1, batch));
+  }
+  Frame reject;
+  ASSERT_TRUE(client.PollReject(&reject));
+  EXPECT_EQ(reject.reject_reason, RejectReason::kQueueFull);
+  EXPECT_EQ(reject.reject_count, batch.size());
+  EXPECT_FALSE(client.PollReject(&reject));  // Exactly one refused.
+
+  std::vector<ShardMetrics> shards = service.manager().SnapshotShards();
+  ASSERT_EQ(shards.size(), 1u);
+  EXPECT_EQ(shards[0].queue_depth, admitted);
+  EXPECT_EQ(shards[0].queue_bytes, admitted * frame_bytes);
+  EXPECT_EQ(shards[0].queue_bytes_capacity, kShardQueueBytes);
+  EXPECT_EQ(shards[0].rejected_frames, 1u);
+
+  service.manager().DrainShardForTest(0);
+  shards = service.manager().SnapshotShards();
+  EXPECT_EQ(shards[0].queue_depth, 0u);
+  EXPECT_EQ(shards[0].queue_bytes, 0u);
+  EXPECT_EQ(shards[0].events_in, admitted * batch.size());
+}
+
+TEST(LoopbackServiceTest, MaxPayloadFrameAcceptedAndFlushedUnderBlock) {
+  // One frame of the largest payload the wire allows decodes to far more
+  // than the shard queue's byte bound; an empty queue must still admit
+  // it, and the frames behind it must wait for it rather than deadlock.
+  const size_t max_events = (kMaxPayloadBytes - 4) / kWireEventBytes;
+  ASSERT_GT(max_events * sizeof(Event), kShardQueueBytes);
+  std::vector<Event> big = TestEvents(max_events, /*seed=*/11);
+  ASSERT_EQ(big.size(), max_events);
+
+  Collector collected;
+  ServiceOptions options;
+  options.shards.num_shards = 1;
+  options.shards.backpressure = BackpressurePolicy::kBlock;
+  // One all-covering band: every event must come out.
+  options.shards.framework.reorder_latencies = {
+      static_cast<Timestamp>(1) << 40};
+  options.on_result = collected.Tap();
+  IngestService service(options);
+  IngestClient client(std::make_unique<LoopbackChannel>(&service));
+
+  ASSERT_TRUE(client.SendEvents(3, big));
+  EXPECT_EQ(client.bytes_sent(),
+            kFrameHeaderBytes + 4 + max_events * kWireEventBytes);
+  ASSERT_TRUE(client.SendEvents(3, TestEvents(100, /*seed=*/12)));
+  ASSERT_TRUE(client.FlushSession(3));
+  ASSERT_TRUE(client.Shutdown());
+
+  const std::vector<ShardMetrics> shards = service.manager().SnapshotShards();
+  ASSERT_EQ(shards.size(), 1u);
+  EXPECT_EQ(shards[0].events_in, max_events + 100);
+  EXPECT_EQ(shards[0].rejected_frames, 0u);
+  EXPECT_EQ(shards[0].queue_bytes, 0u);
+  EXPECT_EQ(collected.events.size(), max_events + 100);
+}
+
 TEST(LoopbackServiceTest, SubmitAfterShutdownRejectedAsShuttingDown) {
   ServiceOptions options;
   options.shards.num_shards = 1;
@@ -316,6 +389,14 @@ TEST(LoopbackServiceTest, MetricsTextAndJson) {
             std::string::npos);
   EXPECT_NE(text.find("impatience_shard_queue_capacity{shard=\"1\"}"),
             std::string::npos);
+  // Drained queues hold no bytes; the byte bound is the fixed constant.
+  EXPECT_NE(text.find("impatience_shard_queue_bytes{shard=\"0\"} 0\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("impatience_shard_queue_bytes_capacity{shard=\"1\"} " +
+                      std::to_string(kShardQueueBytes) + "\n"),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find("impatience_shard_sorter_pushes"), std::string::npos);
 
   std::string json;

@@ -83,6 +83,8 @@ ServerMetrics MakeMetrics() {
   s.shard = 0;
   s.queue_depth = 1;
   s.queue_capacity = 128;
+  s.queue_bytes = 24576;
+  s.queue_bytes_capacity = 262144;
   s.events_in = 5000;
   for (uint64_t v = 1; v <= 1000; ++v) {
     s.sorter.punct_to_emit.Record(v * 1000);
@@ -253,6 +255,43 @@ TEST(MetricsRenderTest, IoLoopFamiliesInAllThreeFormats) {
             std::string::npos);
   EXPECT_NE(prom.find("impatience_io_loop_epollout_stalls{loop=\"0\"} 40"),
             std::string::npos);
+}
+
+// The shard queue's byte gauges sit beside its frame gauges in all three
+// formats.
+TEST(MetricsRenderTest, QueueByteFamiliesInAllThreeFormats) {
+  const ServerMetrics m = MakeMetrics();
+
+  const std::string text = RenderMetricsText(m);
+  EXPECT_NE(text.find("impatience_shard_queue_bytes{shard=\"0\"} 24576\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("impatience_shard_queue_bytes_capacity{shard=\"0\"} "
+                      "262144\n"),
+            std::string::npos);
+
+  const std::string json = RenderMetricsJson(m);
+  EXPECT_TRUE(JsonIsWellFormed(json)) << json;
+  EXPECT_NE(json.find("\"queue_capacity\":128,\"queue_bytes\":24576,"
+                      "\"queue_bytes_capacity\":262144,"),
+            std::string::npos)
+      << json;
+
+  const std::string prom = RenderMetricsPrometheus(m);
+  EXPECT_NE(prom.find("# TYPE impatience_shard_queue_bytes gauge"),
+            std::string::npos);
+  EXPECT_NE(prom.find("impatience_shard_queue_bytes{shard=\"0\"} 24576\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE impatience_shard_queue_bytes_capacity gauge"),
+            std::string::npos);
+  EXPECT_NE(prom.find("impatience_shard_queue_bytes_capacity{shard=\"0\"} "
+                      "262144\n"),
+            std::string::npos);
+  // Rendered next to the frame capacity, not elsewhere in the page.
+  const size_t frames = prom.find("# TYPE impatience_shard_queue_capacity");
+  const size_t bytes = prom.find("# TYPE impatience_shard_queue_bytes gauge");
+  ASSERT_NE(frames, std::string::npos);
+  EXPECT_LT(frames, bytes);
+  EXPECT_EQ(prom.find("# TYPE", frames + 1), bytes);
 }
 
 // The storage-tier families (memory gauges, spill counters, recovery

@@ -1,10 +1,12 @@
 #include "server/wire_format.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "tests/testing/corrupt_corpus.h"
 
 namespace impatience {
@@ -49,8 +51,41 @@ Frame DecodeOne(const std::vector<uint8_t>& bytes) {
 TEST(WireFormatTest, Crc32KnownVector) {
   // The IEEE 802.3 check value: CRC32("123456789") = 0xCBF43926.
   const char* s = "123456789";
-  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(s), 9), 0xCBF43926u);
-  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(impatience::Crc32(reinterpret_cast<const uint8_t*>(s), 9),
+            0xCBF43926u);
+  EXPECT_EQ(impatience::Crc32(nullptr, 0), 0u);
+}
+
+TEST(WireFormatTest, EveryAppendFormEncodesTheSameBytes) {
+  // The span form (events held outside the frame) and the std::string
+  // buffer produce exactly the bytes of the plain vector encoding, also
+  // when appended behind frames already in the buffer.
+  Frame chunk;
+  chunk.type = FrameType::kResultChunk;
+  chunk.session_id = 9;
+  chunk.result_seq = 3;
+  chunk.result_dropped = 12;
+  chunk.result_watermark = -77;
+  chunk.result_shard = 1;
+  chunk.result_stream = 2;
+  chunk.events = EventsFrame(0, 5).events;
+  for (const Frame& frame : {EventsFrame(4, 7), chunk}) {
+    const std::vector<uint8_t> expect = EncodeFrame(frame);
+    Frame header = frame;
+    header.events.clear();
+
+    std::vector<uint8_t> vec = EncodeFrame(EventsFrame(1, 2));
+    const size_t prefix = vec.size();
+    AppendFrame(header, frame.events, &vec);
+    EXPECT_EQ(std::vector<uint8_t>(vec.begin() + prefix, vec.end()), expect);
+
+    std::string str = "xyz";
+    AppendFrame(frame, &str);
+    EXPECT_EQ(str.substr(3), std::string(expect.begin(), expect.end()));
+    str.clear();
+    AppendFrame(header, frame.events, &str);
+    EXPECT_EQ(str, std::string(expect.begin(), expect.end()));
+  }
 }
 
 TEST(WireFormatTest, EventsRoundTrip) {
@@ -195,7 +230,7 @@ TEST(WireFormatTest, TraceRequestWithPayloadRejected) {
   for (int i = 0; i < 4; ++i) {
     bytes[16 + i] = static_cast<uint8_t>(len >> (8 * i));
   }
-  const uint32_t crc = Crc32(&junk, 1);
+  const uint32_t crc = impatience::Crc32(&junk, 1);
   for (int i = 0; i < 4; ++i) {
     bytes[20 + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
@@ -292,7 +327,7 @@ TEST(WireFormatTest, SubscribeRequestWithPayloadRejected) {
   for (int i = 0; i < 4; ++i) {
     bytes[16 + i] = static_cast<uint8_t>(len >> (8 * i));
   }
-  const uint32_t crc = Crc32(&junk, 1);
+  const uint32_t crc = impatience::Crc32(&junk, 1);
   for (int i = 0; i < 4; ++i) {
     bytes[20 + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
@@ -317,7 +352,7 @@ TEST(WireFormatTest, TelemetryChunkShortPayloadRejected) {
   for (int i = 0; i < 4; ++i) {
     bytes[16 + i] = static_cast<uint8_t>(len >> (8 * i));
   }
-  const uint32_t crc = Crc32(bytes.data() + 24, 8);
+  const uint32_t crc = impatience::Crc32(bytes.data() + 24, 8);
   for (int i = 0; i < 4; ++i) {
     bytes[20 + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
@@ -417,7 +452,7 @@ TEST(WireFormatTest, EventsCountPayloadMismatchRejected) {
   for (int i = 0; i < 4; ++i) {
     bytes[16 + i] = static_cast<uint8_t>(len >> (8 * i));
   }
-  const uint32_t crc = Crc32(payload.data(), payload.size());
+  const uint32_t crc = impatience::Crc32(payload.data(), payload.size());
   for (int i = 0; i < 4; ++i) {
     bytes[20 + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
